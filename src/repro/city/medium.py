@@ -180,7 +180,7 @@ class ShardedMedium(Medium):
     # ----------------------------------------------------- candidate hooks
     # The base class's global ``_active`` list is deliberately left empty
     # here: every hot-path read goes through the hooks below, and keeping
-    # the global view current would cost a field-equality list.remove per
+    # the global view current would cost a city-wide list.remove scan per
     # completion.
     def _activate(self, tx: Transmission) -> None:
         # The cached key is at most one rebucket interval stale (~1 m of

@@ -71,9 +71,14 @@ class MediumParams:
     rx_processing_s: float = 0.0
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class Transmission:
-    """One frame on the air."""
+    """One frame on the air.
+
+    Compares by identity: each instance is one distinct emission, and the
+    on-air lists remove it with ``list.remove``, which would otherwise run
+    a field-by-field ``__eq__`` against every earlier entry.
+    """
 
     radio: "object"  # repro.mac.radio.Radio (duck-typed to avoid a cycle)
     frame: Frame
@@ -441,12 +446,15 @@ class Medium:
                 esnr = link.esnr_db(sample_t, uplink=uplink)
                 outcomes = {}
                 pdr_by_size: Dict[int, float] = {}
-                for seq, n_bytes in mpdu_sizes:
+                # One call draws the same consecutive doubles as a scalar
+                # draw per MPDU: nothing else touches the stream meanwhile.
+                draws = rng_random(len(mpdu_sizes)).tolist()
+                for (seq, n_bytes), u in zip(mpdu_sizes, draws):
                     p = pdr_by_size.get(n_bytes)
                     if p is None:
                         p = pdr(esnr, mcs, n_bytes=n_bytes)
                         pdr_by_size[n_bytes] = p
-                    outcomes[seq] = bool(rng_random() < p)
+                    outcomes[seq] = u < p
                 radio.on_frame(frame, tx_id, outcomes, t)
             else:
                 # The wideband RSSI proxy (flat fading gain) is accurate

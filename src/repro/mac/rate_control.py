@@ -12,6 +12,7 @@ dominates).
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence
 
 import numpy as np
@@ -70,11 +71,14 @@ class MinstrelLite(RateController):
         self._aggregates = 0
 
     def _best_index(self) -> int:
-        throughput = [
-            entry.phy_rate_mbps * self._success[i]
-            for i, entry in enumerate(self.table)
-        ]
-        return int(np.argmax(throughput))
+        """Index of the highest expected throughput; ties go to the first,
+        as with ``np.argmax`` (a Python scan skips its array round trip)."""
+        best, best_tput = 0, -math.inf
+        for i, (entry, success) in enumerate(zip(self.table, self._success)):
+            tput = entry.phy_rate_mbps * success
+            if tput > best_tput:
+                best, best_tput = i, tput
+        return best
 
     def choose(self, retry_level: int = 0) -> McsEntry:
         self._aggregates += 1

@@ -12,7 +12,7 @@ because stop/start/ack packets may be lost.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Iterator, Optional
 
 import numpy as np
 
@@ -23,6 +23,17 @@ __all__ = ["Backhaul", "BackhaulEndpoint", "BackhaulParams"]
 
 #: Receiver callback signature: (packet, src_node_id).
 BackhaulEndpoint = Callable[[Packet, int], None]
+
+#: Doubles the backhaul draws from its generator per refill.
+DRAW_BLOCK = 1024
+
+
+def _doubles(rng: np.random.Generator) -> Iterator[float]:
+    """``rng``'s doubles in order, drawn a block at a time: ``random(n)``
+    yields what ``n`` scalar ``random()`` calls would, and
+    ``uniform(0.0, x)`` is ``x * random()`` bit for bit."""
+    while True:
+        yield from rng.random(DRAW_BLOCK).tolist()
 
 
 @dataclass
@@ -47,7 +58,11 @@ class BackhaulParams:
 
 
 class Backhaul:
-    """Star-topology wired network between controller and APs."""
+    """Star-topology wired network between controller and APs.
+
+    The backhaul owns ``rng``: it draws its doubles ahead in blocks, so
+    nothing else may draw from that generator.
+    """
 
     def __init__(
         self,
@@ -57,6 +72,7 @@ class Backhaul:
     ):
         self.sim = sim
         self.rng = rng
+        self._next_double = _doubles(rng).__next__
         self.params = params or BackhaulParams()
         self._endpoints: Dict[int, BackhaulEndpoint] = {}
         #: Last scheduled delivery time per (src, dst): switched Ethernet
@@ -94,7 +110,7 @@ class Backhaul:
         key = (src, dst)
         offset = self._pair_offset.get(key)
         if offset is None:
-            offset = float(self.rng.uniform(0.0, self.params.link_jitter_s))
+            offset = self.params.link_jitter_s * self._next_double()
             self._pair_offset[key] = offset
         return offset
 
@@ -127,7 +143,7 @@ class Backhaul:
                 return
             fault_latency = verdict.extra_latency_s
         if params.loss_probability > 0.0 and (
-            self.rng.random() < params.loss_probability
+            self._next_double() < params.loss_probability
         ):
             self.packets_lost += 1
             return
@@ -137,7 +153,7 @@ class Backhaul:
             link_offset = self._link_offset(src, dst)
         latency = (
             params.base_latency_s
-            + float(self.rng.uniform(0.0, params.jitter_s))
+            + params.jitter_s * self._next_double()
             + link_offset
             + fault_latency
             + size_bytes * 8.0 / params.bandwidth_bps

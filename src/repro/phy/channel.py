@@ -21,13 +21,12 @@ from .antenna import OmniAntenna, ParabolicAntenna
 from .csi import CSIReading
 from .esnr import (
     DEFAULT_ESNR_CONSTELLATION,
-    effective_snr_db,
     effective_snr_db_batch,
+    esnr_db_from_csi,
     subcarrier_snr_db_from_csi,
 )
 from .fading import TappedDelayChannel, doppler_hz
 from .mcs import MCS_TABLE, McsEntry, link_capacity_mbps, pdr
-from .modulation import linear_to_db
 from .pathloss import LogDistancePathLoss
 
 __all__ = ["RadioParams", "Link"]
@@ -119,6 +118,8 @@ class Link:
         else:
             self.shadowing = None
         self.n_subcarriers = n_subcarriers
+        # Scratch of the per-frame ESNR kernel; only esnr_db touches it.
+        self._esnr_scratch = np.empty(self.fading.n_subcarriers)
         # Exact-timestamp memoisation of the mean (large-scale) SNR, keyed
         # by (uplink, t).  Measurement on the default drive showed the mean
         # SNR is the *only* per-link quantity queried twice at one instant:
@@ -212,8 +213,13 @@ class Link:
         constellation: str = DEFAULT_ESNR_CONSTELLATION,
     ) -> float:
         """Instantaneous effective SNR of the link."""
-        return effective_snr_db(
-            self.subcarrier_snr_db(t, uplink=uplink), constellation
+        # The gains never leave the kernel, so they skip csi()'s
+        # read-only marking.
+        return esnr_db_from_csi(
+            self.fading.subcarrier_gains(t),
+            self.mean_snr_db(t, uplink=uplink),
+            constellation,
+            self._esnr_scratch,
         )
 
     def rssi_db(self, t: float, uplink: bool = False) -> float:
@@ -224,7 +230,9 @@ class Link:
         """
         h = self.fading.flat_gain(t)
         power = max(abs(h) ** 2, 1e-12)
-        return self.mean_snr_db(t, uplink=uplink) + float(linear_to_db(power))
+        # linear_to_db on a float already at its floor, minus the array
+        # round trip (np.log10 stays: math.log10 can differ in the last bit).
+        return self.mean_snr_db(t, uplink=uplink) + 10.0 * float(np.log10(power))
 
     def capacity_mbps(self, t: float) -> float:
         """Ideal-rate-control expected PHY throughput right now (downlink)."""

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .esnr import DEFAULT_ESNR_CONSTELLATION, effective_snr_db, subcarrier_snr_db_from_csi
+from .esnr import DEFAULT_ESNR_CONSTELLATION, esnr_db_from_csi
 from .modulation import linear_to_db
 
 __all__ = ["CSIReading"]
@@ -48,19 +48,15 @@ class CSIReading:
     def n_subcarriers(self) -> int:
         return int(np.asarray(self.csi).size)
 
-    def subcarrier_snr_db(self) -> np.ndarray:
-        """Per-subcarrier SNR in dB."""
-        return subcarrier_snr_db_from_csi(self.csi, self.mean_snr_db)
-
     def esnr_db(self, constellation: str = DEFAULT_ESNR_CONSTELLATION) -> float:
         """Effective SNR of this reading (cached for the default constellation)."""
         if constellation == DEFAULT_ESNR_CONSTELLATION:
             if self._esnr_cache is None:
-                self._esnr_cache = effective_snr_db(
-                    self.subcarrier_snr_db(), constellation
+                self._esnr_cache = esnr_db_from_csi(
+                    self.csi, self.mean_snr_db, constellation
                 )
             return self._esnr_cache
-        return effective_snr_db(self.subcarrier_snr_db(), constellation)
+        return esnr_db_from_csi(self.csi, self.mean_snr_db, constellation)
 
     def rssi_db(self) -> float:
         """Wideband received-power proxy: mean subcarrier SNR in dB.

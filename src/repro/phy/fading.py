@@ -225,25 +225,28 @@ class TappedDelayChannel:
         np.multiply(self._omegas, t, out=angles)
         angles += self._phases
         trig = self._trig_buf
-        gains = np.empty(len(self._amps), dtype=complex)
-        # ndarray.sum is the same ufunc reduction as np.sum minus the
-        # dispatch wrapper (bit-identical result, hot-path win).
+        # np.add.reduce is the reduction ndarray.sum runs, minus its
+        # Python-level dispatch wrapper (bit-identical, hot-path win).
+        reduce = np.add.reduce
         np.cos(angles, out=trig)
-        gains.real = self._amps * trig.sum(axis=1)
+        real = self._amps * reduce(trig, axis=1)
         np.sin(angles, out=trig)
-        gains.imag = self._amps * trig.sum(axis=1)
+        imag = self._amps * reduce(trig, axis=1)
         los_one = self._los_one
         if los_one is not None:
             i0, amp, omega, phase = los_one
             ang = omega * t + phase
-            gains.real[i0] += amp * np.cos(ang)
-            gains.imag[i0] += amp * np.sin(ang)
+            real[i0] += amp * np.cos(ang)
+            imag[i0] += amp * np.sin(ang)
         else:
             idx = self._los_idx
             if idx.size:
                 los_angles = self._los_omegas[idx] * t + self._los_phases[idx]
-                gains.real[idx] += self._los_amps[idx] * np.cos(los_angles)
-                gains.imag[idx] += self._los_amps[idx] * np.sin(los_angles)
+                real[idx] += self._los_amps[idx] * np.cos(los_angles)
+                imag[idx] += self._los_amps[idx] * np.sin(los_angles)
+        gains = np.empty(len(real), dtype=complex)
+        gains.real = real
+        gains.imag = imag
         return gains
 
     def tap_gains_at(self, ts) -> np.ndarray:
@@ -287,7 +290,7 @@ class TappedDelayChannel:
 
     def flat_gain(self, t: float) -> complex:
         """Wideband (frequency-flat) gain: the tap sum without dispersion."""
-        return complex(self.tap_gains(t).sum())
+        return complex(np.add.reduce(self.tap_gains(t)))
 
     def flat_gains_at(self, ts) -> np.ndarray:
         """Wideband gains at a batch of timestamps: shape (len(ts),)."""

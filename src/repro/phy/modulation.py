@@ -28,43 +28,60 @@ __all__ = [
 ]
 
 
-def db_to_linear(db):
-    """Convert decibels to a linear power ratio (vectorised)."""
-    return np.power(10.0, np.asarray(db, dtype=float) / 10.0)
+def db_to_linear(db, out=None):
+    """Convert decibels to a linear power ratio (vectorised).
+
+    ``out`` (a float array shaped like ``db``) receives the result in place;
+    the ufuncs and their order are the same either way.
+    """
+    x = np.divide(np.asarray(db, dtype=float), 10.0, out=out)
+    return np.power(10.0, x, out=out)
 
 
-def linear_to_db(linear):
+def linear_to_db(linear, out=None):
     """Convert a linear power ratio to decibels (vectorised, floors at 1e-12)."""
-    return 10.0 * np.log10(np.maximum(np.asarray(linear, dtype=float), 1e-12))
+    x = np.maximum(np.asarray(linear, dtype=float), 1e-12, out=out)
+    x = np.log10(x, out=out)
+    return np.multiply(x, 10.0, out=out)
 
 
-def _q(x):
+_SQRT2 = math.sqrt(2.0)
+
+
+def _q(x, out=None):
     """Gaussian tail function Q(x) = 0.5 * erfc(x / sqrt(2))."""
-    return 0.5 * erfc(np.asarray(x, dtype=float) / math.sqrt(2.0))
+    x = np.divide(x, _SQRT2, out=out)
+    x = erfc(x, out=out)
+    return np.multiply(x, 0.5, out=out)
 
 
-def ber_bpsk(snr_linear):
+def _clipped(snr_linear, out):
+    """Negative SNRs clamped to zero.  Every BER curve takes ``out=`` like
+    db_to_linear, so the per-frame ESNR kernel runs them in place."""
+    return np.maximum(np.asarray(snr_linear, dtype=float), 0.0, out=out)
+
+
+def ber_bpsk(snr_linear, out=None):
     """BPSK bit error rate: Q(sqrt(2*SNR))."""
-    snr = np.maximum(np.asarray(snr_linear, dtype=float), 0.0)
-    return _q(np.sqrt(2.0 * snr))
+    x = np.multiply(_clipped(snr_linear, out), 2.0, out=out)
+    return _q(np.sqrt(x, out=out), out)
 
 
-def ber_qpsk(snr_linear):
+def ber_qpsk(snr_linear, out=None):
     """QPSK bit error rate: identical per-bit performance to BPSK."""
-    snr = np.maximum(np.asarray(snr_linear, dtype=float), 0.0)
-    return _q(np.sqrt(snr))
+    return _q(np.sqrt(_clipped(snr_linear, out), out=out), out)
 
 
-def ber_qam16(snr_linear):
+def ber_qam16(snr_linear, out=None):
     """Gray-coded 16-QAM approximate BER: (3/4) * Q(sqrt(SNR / 5))."""
-    snr = np.maximum(np.asarray(snr_linear, dtype=float), 0.0)
-    return 0.75 * _q(np.sqrt(snr / 5.0))
+    x = np.divide(_clipped(snr_linear, out), 5.0, out=out)
+    return np.multiply(_q(np.sqrt(x, out=out), out), 0.75, out=out)
 
 
-def ber_qam64(snr_linear):
+def ber_qam64(snr_linear, out=None):
     """Gray-coded 64-QAM approximate BER: (7/12) * Q(sqrt(SNR / 21))."""
-    snr = np.maximum(np.asarray(snr_linear, dtype=float), 0.0)
-    return (7.0 / 12.0) * _q(np.sqrt(snr / 21.0))
+    x = np.divide(_clipped(snr_linear, out), 21.0, out=out)
+    return np.multiply(_q(np.sqrt(x, out=out), out), 7.0 / 12.0, out=out)
 
 
 class Constellation:

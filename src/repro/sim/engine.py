@@ -164,7 +164,10 @@ class Simulator:
     """
 
     def __init__(self) -> None:
-        self._now = 0.0
+        #: Current simulation time in seconds.  A plain attribute, not a
+        #: property, because callbacks read it on nearly every event; only
+        #: run() and step() advance it.
+        self.now = 0.0
         #: Heap of (time, seq, handle) tuples: the (float, int) prefix
         #: keeps heapq comparisons at C speed instead of dispatching a
         #: Python-level __lt__ per sift (the hot loop's dominant cost at
@@ -187,11 +190,6 @@ class Simulator:
         self._groups: Dict[Tuple[Any, float], "PeriodicGroup"] = {}
 
     # ------------------------------------------------------------------ time
-    @property
-    def now(self) -> float:
-        """Current simulation time in seconds."""
-        return self._now
-
     @property
     def events_fired(self) -> int:
         """Number of callbacks executed so far (for budget accounting/tests).
@@ -220,7 +218,7 @@ class Simulator:
         if not callable(fn):
             raise TypeError(f"event callback must be callable, got {fn!r}")
         # Inlined schedule_at body (this is the hottest API entry point).
-        when = self._now + delay
+        when = self.now + delay
         seq = next(self._seq)
         free = self._free
         if free:
@@ -239,14 +237,14 @@ class Simulator:
 
     def schedule_at(self, when: float, fn: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``fn(*args)`` at absolute simulation time ``when``."""
-        if when < self._now - TIME_EPSILON:
+        if when < self.now - TIME_EPSILON:
             raise SimulationError(
-                f"cannot schedule at t={when} (now is t={self._now})"
+                f"cannot schedule at t={when} (now is t={self.now})"
             )
         if not callable(fn):
             raise TypeError(f"event callback must be callable, got {fn!r}")
-        if when < self._now:
-            when = self._now
+        if when < self.now:
+            when = self.now
         seq = next(self._seq)
         free = self._free
         if free:
@@ -302,7 +300,7 @@ class Simulator:
             if delay < -TIME_EPSILON:
                 raise SimulationError(f"cannot schedule {delay} s in the past")
             delay = 0.0
-        return self.schedule_batch_at(self._now + delay, fn, *args, key=key)
+        return self.schedule_batch_at(self.now + delay, fn, *args, key=key)
 
     def schedule_batch_at(
         self, when: float, fn: Callable[..., Any], *args: Any, key: Any = None
@@ -314,14 +312,14 @@ class Simulator:
         round-tripping through a delay can perturb the last float ulp and
         silently split the batch.
         """
-        if when < self._now - TIME_EPSILON:
+        if when < self.now - TIME_EPSILON:
             raise SimulationError(
-                f"cannot schedule at t={when} (now is t={self._now})"
+                f"cannot schedule at t={when} (now is t={self.now})"
             )
         if not callable(fn):
             raise TypeError(f"event callback must be callable, got {fn!r}")
-        if when < self._now:
-            when = self._now
+        if when < self.now:
+            when = self.now
         bkey = (key, when)
         batch = self._batches.get(bkey)
         if batch is None or batch.fired:
@@ -403,8 +401,8 @@ class Simulator:
                 if when > until_bound:
                     break
                 pop(heap)
-                if when > self._now:
-                    self._now = when
+                if when > self.now:
+                    self.now = when
                 fn, args = ev.fn, ev.args
                 ev.fn, ev.args = None, ()  # mark as fired
                 assert fn is not None
@@ -418,8 +416,8 @@ class Simulator:
                     free.append(ev)
                 if fired >= limit:
                     break
-            if until is not None and self._now < until:
-                self._now = until
+            if until is not None and self.now < until:
+                self.now = until
         finally:
             self._running = False
 
@@ -430,8 +428,8 @@ class Simulator:
             if ev.cancelled:
                 self._dead -= 1
                 continue
-            if when > self._now:
-                self._now = when
+            if when > self.now:
+                self.now = when
             fn, args = ev.fn, ev.args
             ev.fn, ev.args = None, ()
             assert fn is not None

@@ -129,3 +129,81 @@ def test_cancel_access():
     medium.request_access(a)
     medium.cancel_access(a)
     assert a.node_id not in medium._pending_access
+
+
+# ------------------------------------------------ per-A-MPDU delivery draws
+def _uplink_scene(seed=0):
+    """A client heard by its AP and by a monitoring neighbour AP."""
+    from repro.phy.channel import Link
+
+    sim = Simulator()
+    medium = Medium(sim, np.random.default_rng(seed), trace=TraceRecorder())
+    client_pos = lambda t: (-6.0 + 10.0 * t, 2.0, 1.5)  # noqa: E731
+    client = StubRadio(100, None, is_ap=False, tx_power=15.0)
+    client.position = client_pos
+    aps = []
+    for node_id, x in ((1, 0.0), (2, 7.5)):
+        position = (x, -8.0, 10.0)
+        ap = StubRadio(node_id, position,
+                       antenna=ParabolicAntenna.aimed_at(position, (x, 3.75, 1.5)))
+        ap.monitor = True
+        aps.append(ap)
+        medium.add_link(node_id, client.node_id, Link(
+            ap_position=position, ap_antenna=ap.antenna,
+            client_position_fn=client_pos, speed_mps=10.0,
+            rng=np.random.default_rng([seed, node_id])))
+    for radio in (*aps, client):
+        medium.register_radio(radio)
+    return medium, client, aps
+
+
+def test_complete_outcomes_equal_scalar_draws():
+    """One ``random(n)`` per (receiver, A-MPDU) draws what n scalar
+    ``random()`` calls did: the outcome dicts are unchanged."""
+    from repro.mac.frames import Ampdu, Mpdu
+    from repro.mac.medium import Transmission
+    from repro.net.packet import Packet
+    from repro.phy.mcs import MCS_TABLE, pdr
+
+    medium, client, aps = _uplink_scene(seed=3)
+    ref_rng = np.random.default_rng(3)
+    expected = {ap.node_id: [] for ap in aps}
+    seq = 0
+    for k in range(60):
+        sizes = [1500, 1500, 600, 80, 1500][: 1 + k % 5] * (1 + k % 7)
+        mpdus = []
+        for size in sizes:
+            mpdus.append(Mpdu(Packet(size_bytes=size, src=100, dst=1), seq))
+            seq = (seq + 1) % 4096
+        mcs = MCS_TABLE[k % len(MCS_TABLE)]
+        frame = Ampdu(src=100, dst=1, mpdus=mpdus, mcs=mcs, uplink=True)
+        t0 = 0.02 * k
+        tx = Transmission(client, frame, t0, t0 + 1e-3, t0 + 1.2e-3)
+        mid = t0 + (tx.data_end - t0) / 2.0
+        for ap in aps:
+            link, uplink = medium.link_between(100, ap.node_id)
+            if link.mean_snr_db(mid, uplink=uplink) < medium.params.decode_floor_db:
+                continue
+            esnr = link.esnr_db(mid, uplink=uplink)
+            expected[ap.node_id].append({
+                m.seq: ref_rng.random() < pdr(esnr, mcs, n_bytes=m.payload_bytes)
+                for m in mpdus})
+        medium._complete(tx, mcs)
+    for ap in aps:
+        got = [outcome for _frame, _src, outcome in ap.frames]
+        assert got == expected[ap.node_id]
+        assert all(type(v) is bool for o in got for v in o.values())
+    assert sum(len(v) for v in expected.values()) > 60
+    # The medium's stream sits exactly where the scalar draws left it.
+    assert medium.rng.random() == ref_rng.random()
+
+
+def test_transmission_compares_by_identity():
+    from repro.mac.medium import Transmission
+
+    a = Transmission("radio", "frame", 0.0, 1.0, 1.0)
+    b = Transmission("radio", "frame", 0.0, 1.0, 1.0)
+    assert a != b and a == a
+    active = [a, b]
+    active.remove(b)
+    assert active == [a] and active[0] is a

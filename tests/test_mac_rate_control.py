@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.mac.rate_control import EsnrRateControl, MinstrelLite
 from repro.phy.mcs import MCS_TABLE
@@ -80,3 +82,27 @@ class TestEsnrRateControl:
         rc = EsnrRateControl()
         rc.on_esnr(40.0)
         assert rc.choose(retry_level=3).index == 4
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+                          st.floats(0.0, 1.0)),
+                min_size=len(MCS_TABLE), max_size=len(MCS_TABLE)))
+def test_best_index_equals_argmax_including_ties(success):
+    rc = make_minstrel()
+    rc._success = list(success)
+    throughput = [e.phy_rate_mbps * s for e, s in zip(rc.table, success)]
+    assert rc._best_index() == int(np.argmax(throughput))
+
+
+def test_best_index_tie_goes_to_first():
+    rc = make_minstrel()
+    rate = [e.phy_rate_mbps for e in rc.table]
+    # MCS 3 and MCS 5 at the same expected throughput.
+    rc._success = [0.0] * len(rate)
+    rc._success[3] = 1.0
+    rc._success[5] = rate[3] / rate[5]
+    assert rate[5] * rc._success[5] == rate[3]
+    assert rc._best_index() == 3
+    rc._success = [0.0] * len(rate)
+    assert rc._best_index() == 0

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.net.ethernet import Backhaul, BackhaulParams
+from repro.net.ethernet import DRAW_BLOCK, Backhaul, BackhaulParams
 from repro.net.packet import Packet
 from repro.sim.engine import Simulator
 
@@ -131,16 +133,12 @@ def test_link_jitter_disabled_by_default_draws_nothing():
     sim, bh = make_backhaul(seed=7, link_jitter_s=0.0)
     bh.register(1, lambda p, s: None)
     bh.register(2, lambda p, s: None)
-    before = bh.rng.bit_generator.state["state"]["state"]
-    bh.send(1, 2, packet())
-    # Only the forwarding-jitter draw happened (same as without the knob).
-    sim2, bh2 = make_backhaul(seed=7)
-    bh2.register(1, lambda p, s: None)
-    bh2.register(2, lambda p, s: None)
-    bh2.send(1, 2, packet())
-    assert (bh.rng.bit_generator.state["state"]["state"]
-            == bh2.rng.bit_generator.state["state"]["state"])
-    assert before != bh.rng.bit_generator.state["state"]["state"]
+    bh.register(3, lambda p, s: None)
+    for dst in (2, 3, 2):
+        bh.send(1, dst, packet())
+    # Each send drew exactly one double (its forwarding jitter) from the
+    # backhaul's stream: the next one it serves is the generator's fourth.
+    assert bh._next_double() == np.random.default_rng(7).random(4)[3]
 
 
 def test_link_jitter_deterministic_for_fixed_seed():
@@ -163,3 +161,97 @@ def test_link_jitter_offset_is_persistent_per_pair():
     reverse = bh._link_offset(2, 1)
     assert bh._link_offset(2, 1) == reverse
     assert len(bh._pair_offset) == 2
+
+
+# ------------------------------------------------------- block-drawn doubles
+class ScalarDrawBackhaul(Backhaul):
+    """Reference: the backhaul with one scalar ``Generator`` call per
+    draw, which the block-drawn stream must reproduce (no fault overlay)."""
+
+    def send(self, src, dst, packet):
+        params = self.params
+        if params.loss_probability > 0.0 and (
+            self.rng.random() < params.loss_probability
+        ):
+            self.packets_lost += 1
+            return
+        link_offset = 0.0
+        if params.link_jitter_s > 0.0:
+            key = (src, dst)
+            if key not in self._pair_offset:
+                self._pair_offset[key] = float(
+                    self.rng.uniform(0.0, params.link_jitter_s))
+            link_offset = self._pair_offset[key]
+        latency = (
+            params.base_latency_s
+            + float(self.rng.uniform(0.0, params.jitter_s))
+            + link_offset
+            + 0.0
+            + packet.size_bytes * 8.0 / params.bandwidth_bps
+        )
+        deliver_at = self.sim.now + latency
+        previous = self._last_delivery.get((src, dst), -1.0)
+        if deliver_at <= previous:
+            deliver_at = previous + 1e-9
+        self._last_delivery[(src, dst)] = deliver_at
+        self.sim.schedule_at(deliver_at, self._endpoints[dst], packet, src)
+
+
+def _traffic(cls, seed, n_sends, **params):
+    """(time, src, dst, seq) of every delivery of a fixed send pattern."""
+    sim = Simulator()
+    bh = cls(sim, np.random.default_rng(seed), params=BackhaulParams(**params))
+    got = []
+    for node in (1, 2, 3, 4):
+        bh.register(node, lambda p, src, node=node:
+                    got.append((sim.now, src, node, p.seq)))
+    for i in range(n_sends):
+        p = Packet(size_bytes=100 + 37 * (i % 40), src=1, dst=2)
+        p.seq = i
+        src, dst = (1 + i % 3, 2 + (i * 7) % 3)
+        sim.schedule(i * 20e-6, bh.send, src, dst, p)
+    sim.run()
+    return got, bh.packets_lost
+
+
+@pytest.mark.parametrize("params", [
+    {},
+    {"loss_probability": 0.2},
+    {"link_jitter_s": 80e-6},
+    {"loss_probability": 0.05, "link_jitter_s": 200e-6, "jitter_s": 1e-3},
+    {"jitter_s": 0.0},
+])
+def test_block_draws_equal_scalar_draws_across_blocks(params):
+    # Enough sends to cross several block boundaries.
+    n = 2 * DRAW_BLOCK + 300
+    block, lost = _traffic(Backhaul, 5, n, **params)
+    scalar, scalar_lost = _traffic(ScalarDrawBackhaul, 5, n, **params)
+    assert block == scalar
+    assert lost == scalar_lost
+    if params.get("loss_probability"):
+        assert lost > 0
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       loss=st.sampled_from([0.0, 0.01, 0.5]),
+       jitter=st.sampled_from([0.0, 100e-6, 3e-3]),
+       link_jitter=st.sampled_from([0.0, 50e-6]),
+       n_sends=st.integers(1, 300))
+def test_block_draws_equal_scalar_draws_property(seed, loss, jitter,
+                                                 link_jitter, n_sends):
+    params = dict(loss_probability=loss, jitter_s=jitter,
+                  link_jitter_s=link_jitter)
+    assert (_traffic(Backhaul, seed, n_sends, **params)
+            == _traffic(ScalarDrawBackhaul, seed, n_sends, **params))
+
+
+@pytest.mark.parametrize("high", [100e-6, 3e-3, 0.7, 1.0, 123.456])
+def test_uniform_from_zero_is_scaled_random(high):
+    """``uniform(0, x) == x * random()`` bit for bit on 100k draws."""
+    a = np.random.default_rng(99)
+    b = np.random.default_rng(99)
+    assert np.array_equal(a.uniform(0.0, high, size=100_000),
+                          high * b.random(100_000))
+    assert [float(a.uniform(0.0, high)) for _ in range(1000)] == [
+        high * b.random() for _ in range(1000)]

@@ -10,14 +10,19 @@ scalar reference implementation.  These tests lock that in:
   within ``tol_db``), across all constellations;
 * batched ESNR == scalar ESNR, exactly;
 * memoized links return bit-identical values to unmemoized links;
+* the in-place ESNR kernel and the RSSI proxy == the allocating formulas;
 * a default drive reproduces the pre-PR golden delivery/trace digests.
 """
 
 import json
+import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import erfc
 
 from repro.phy.channel import Link, RadioParams
 from repro.phy.antenna import ParabolicAntenna
@@ -25,9 +30,11 @@ from repro.phy.esnr import (
     BerInversionTable,
     effective_snr_db,
     effective_snr_db_batch,
+    esnr_db_from_csi,
     invert_ber,
     invert_ber_batch,
     invert_ber_bisect,
+    subcarrier_snr_db_from_csi,
 )
 from repro.phy.fading import (
     TappedDelayChannel,
@@ -269,6 +276,110 @@ class TestLinkMemoizationAndBatch:
         batch = link.capacity_mbps_at(ts)
         ref = np.array([link.capacity_mbps(float(t)) for t in ts])
         np.testing.assert_allclose(batch, ref, rtol=1e-12, atol=1e-9)
+
+
+def _reference_ber(constellation, snr_linear):
+    """Reference: the BER curves as plain allocating expressions."""
+    snr = np.maximum(np.asarray(snr_linear, dtype=float), 0.0)
+
+    def q(x):
+        return 0.5 * erfc(np.asarray(x, dtype=float) / math.sqrt(2.0))
+
+    if constellation == Constellation.BPSK:
+        return q(np.sqrt(2.0 * snr))
+    if constellation == Constellation.QPSK:
+        return q(np.sqrt(snr))
+    if constellation == Constellation.QAM16:
+        return 0.75 * q(np.sqrt(snr / 5.0))
+    return (7.0 / 12.0) * q(np.sqrt(snr / 21.0))
+
+
+def _reference_esnr(csi, mean_snr_db, constellation):
+    """CSI -> ESNR with a fresh array per step and ``np.mean``."""
+    power = np.abs(np.asarray(csi)) ** 2
+    snr_db = mean_snr_db + 10.0 * np.log10(np.maximum(power, 1e-12))
+    snr_db = np.maximum(snr_db, -20.0)
+    linear = np.power(10.0, snr_db / 10.0)
+    mean_ber = float(np.mean(_reference_ber(constellation, linear)))
+    return invert_ber(mean_ber, constellation)
+
+
+#: CSI magnitudes that include exact zeros and nulls deep enough to hit
+#: the -20 dB floor at every mean SNR in range.
+_csi_magnitudes = st.lists(
+    st.one_of(st.just(0.0), st.floats(1e-9, 1e-3), st.floats(1e-3, 3.0)),
+    min_size=1, max_size=64,
+)
+
+
+class TestInPlaceKernels:
+    @settings(max_examples=150, deadline=None)
+    @given(mags=_csi_magnitudes, data=st.data(),
+           mean_snr_db=st.floats(-10.0, 50.0),
+           constellation=st.sampled_from(Constellation.ALL))
+    def test_esnr_kernel_equals_allocating_formula(self, mags, data,
+                                                   mean_snr_db, constellation):
+        phases = data.draw(st.lists(st.floats(-math.pi, math.pi),
+                                    min_size=len(mags), max_size=len(mags)))
+        csi = np.asarray(mags) * np.exp(1j * np.asarray(phases))
+        got = esnr_db_from_csi(csi, mean_snr_db, constellation)
+        assert got == _reference_esnr(csi, mean_snr_db, constellation)
+        assert got == effective_snr_db(
+            subcarrier_snr_db_from_csi(csi, mean_snr_db), constellation)
+
+    @pytest.mark.parametrize("constellation", Constellation.ALL)
+    def test_esnr_kernel_on_channel_csi(self, constellation):
+        ch = TappedDelayChannel(np.random.default_rng(11), 92.0, rician_k=4.0)
+        for i, t in enumerate(TIMESTAMPS):
+            csi = ch.subcarrier_gains(float(t))
+            if i % 5 == 0:
+                csi[i % 56] = 0.0  # a null deep enough to hit the floor
+            mean = -10.0 + 60.0 * i / len(TIMESTAMPS)
+            assert (esnr_db_from_csi(csi, mean, constellation)
+                    == _reference_esnr(csi, mean, constellation))
+
+    @pytest.mark.parametrize("constellation", Constellation.ALL)
+    def test_ber_out_matches_allocating(self, constellation):
+        snr = db_to_linear(np.linspace(-25.0, 60.0, 997))
+        buf = np.empty_like(snr)
+        got = BER_FUNCTIONS[constellation](snr, out=buf)
+        assert got is buf
+        assert np.array_equal(buf, _reference_ber(constellation, snr))
+        assert np.array_equal(BER_FUNCTIONS[constellation](snr),
+                              _reference_ber(constellation, snr))
+
+    def test_kernel_reads_csi_and_returns_a_float(self):
+        link = _make_link(seed=12)
+        reading = link.measure_csi(0.4, ap_id=1, client_id=100)
+        kept = reading.csi.copy()
+        esnr = reading.esnr_db()
+        link.esnr_db(0.4, uplink=True)
+        link.esnr_db(0.9)
+        assert type(esnr) is float
+        assert not reading.csi.flags.writeable
+        assert np.array_equal(reading.csi, kept)
+        assert esnr == _reference_esnr(kept, reading.mean_snr_db,
+                                       Constellation.QAM64)
+        assert (link.esnr_db(0.4, uplink=True)
+                == _reference_esnr(link.csi(0.4),
+                                   link.mean_snr_db(0.4, uplink=True),
+                                   Constellation.QAM64))
+
+    def test_empty_csi_rejected(self):
+        with pytest.raises(ValueError):
+            esnr_db_from_csi(np.zeros(0, dtype=complex), 20.0)
+
+    def test_rssi_equals_allocating_formula(self):
+        for seed in (0, 3):
+            link = _make_link(seed=seed)
+            for t in np.linspace(0.0, 4.0, 401):
+                t = float(t)
+                for uplink in (False, True):
+                    power = max(abs(link.fading.flat_gain(t)) ** 2, 1e-12)
+                    ref = link.mean_snr_db(t, uplink=uplink) + float(
+                        10.0 * np.log10(np.maximum(
+                            np.asarray(power, dtype=float), 1e-12)))
+                    assert link.rssi_db(t, uplink=uplink) == ref
 
 
 class TestGoldenDriveDigests:
