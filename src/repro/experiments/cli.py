@@ -33,7 +33,6 @@ from ..orchestration import (
     ResultCache,
     SweepAggregator,
     SweepSpec,
-    run_queue_sweep,
     run_sweep,
 )
 from ..perf import PERF
@@ -257,14 +256,13 @@ def _load_fault_campaign(arg: Optional[str]):
 def cmd_sweep(args: argparse.Namespace) -> int:
     """A Fig.-13-style grid through the sweep orchestration layer.
 
-    ``--backend pool`` (default) fans jobs out over ``--jobs`` worker
-    processes; ``--backend queue`` runs the distributed path -- a
-    directory-lease work queue under ``--queue-dir`` drained by
-    ``--workers`` pull workers with heartbeat leases and crash requeue.
-    ``--store columnar`` additionally streams every summary into packed
-    ``.npz`` shards plus a running ``aggregate.json`` snapshot under
-    ``--store-dir``.  Results persist in the on-disk cache either way,
-    so a repeated sweep skips simulation entirely.
+    ``--jobs 1`` runs every job in this process; ``--jobs N`` drains a
+    directory-lease work queue with N pull workers (heartbeat leases,
+    crash requeue), kept under ``--queue-dir`` for ``sweep-status`` when
+    given.  ``--store columnar`` additionally streams every summary into
+    packed ``.npz`` shards plus a running ``aggregate.json`` snapshot
+    under ``--store-dir``.  Results persist in the on-disk cache either
+    way, so a repeated sweep skips simulation entirely.
     """
     speeds = [float(s) for s in args.speeds.split(",")]
     modes = [m.strip() for m in args.modes.split(",") if m.strip()]
@@ -299,29 +297,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.store == "columnar":
         store = ColumnarStore(args.store_dir)
         aggregator = SweepAggregator()
-    if args.backend == "queue":
-        workers = args.workers if args.workers is not None else args.jobs
-        queue_dir = args.queue_dir
-        if queue_dir is None:
-            import tempfile
-
-            queue_dir = tempfile.mkdtemp(prefix="repro-queue-")
-        result = run_queue_sweep(
-            spec, workers=workers, queue_dir=queue_dir,
-            cache=cache, store=store, aggregator=aggregator,
-            lease_timeout_s=args.lease_timeout,
-            timeout_s=args.timeout, max_retries=args.retries,
-            verbose=args.verbose,
-        )
-    else:
+    try:
         result = run_sweep(
             spec, jobs=args.jobs, cache=cache,
             timeout_s=args.timeout, max_retries=args.retries,
             verbose=args.verbose, store=store, aggregator=aggregator,
+            queue_dir=args.queue_dir, lease_timeout_s=args.lease_timeout,
         )
-    if store is not None:
-        store.flush()
-        aggregator.write_snapshot(store.root / "aggregate.json")
+    except ValueError as exc:  # e.g. a --queue-dir left by another sweep
+        print(f"sweep: error: {exc}", file=sys.stderr)
+        return 2
 
     # Mean coverage throughput per (column, speed), averaged over seeds.
     # Columns are modes; a --policies axis splits them per policy label.
@@ -361,8 +346,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     stats = result.stats
     print(f"jobs: {stats.one_line()}")
-    if args.backend == "queue":
-        print(f"queue: {queue_dir} ({workers} workers, "
+    if args.queue_dir is not None:
+        print(f"queue: {args.queue_dir} ({args.jobs} workers, "
               f"{stats.retries} requeued, {stats.failed} failed)")
     if store is not None:
         print(f"store: {store.root} ({len(store)} summaries in "
@@ -449,6 +434,17 @@ def cmd_channel(args: argparse.Namespace) -> int:
     return 0
 
 
+def _ranged(kind, low, strict: bool = False):
+    """An argparse type: a ``kind`` value ``>= low`` (``> low`` if strict)."""
+    def parse(text: str):
+        value = kind(text)
+        if value < low or (strict and not value > low):
+            raise argparse.ArgumentTypeError(
+                f"must be {'>' if strict else '>='} {low}, got {text}")
+        return value
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-experiments",
@@ -503,16 +499,17 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument("--seeds", default=None,
                        help="comma list; averaged per cell (overrides --seed)")
-    sweep.add_argument("--jobs", type=int, default=1,
+    sweep.add_argument("--jobs", type=_ranged(int, 1), default=1,
                        help="worker processes (1 = in-process)")
     sweep.add_argument("--cache-dir", default=None,
                        help="result cache root (default .repro_cache, "
                             "or $REPRO_CACHE_DIR)")
     sweep.add_argument("--no-cache", action="store_true",
                        help="always simulate; do not read or write the cache")
-    sweep.add_argument("--timeout", type=float, default=None,
+    sweep.add_argument("--timeout", type=_ranged(float, 0, strict=True),
+                       default=None,
                        help="per-job wall-clock timeout in seconds")
-    sweep.add_argument("--retries", type=int, default=2,
+    sweep.add_argument("--retries", type=_ranged(int, 0), default=2,
                        help="extra attempts per failed job")
     sweep.add_argument("--n-aps", type=int, default=None,
                        help="override the AP count (default: 8-AP testbed)")
@@ -535,20 +532,15 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--city", default=None, metavar="FILE_OR_JSON",
                        help="CityConfig JSON applied to every job (file path "
                             "or inline); use --modes wgtt with this")
-    sweep.add_argument("--backend", choices=("pool", "queue"), default="pool",
-                       help="pool: ProcessPoolExecutor fan-out (default); "
-                            "queue: directory-lease work queue drained by "
-                            "pull workers with heartbeats and crash requeue")
-    sweep.add_argument("--workers", type=int, default=None,
-                       help="queue-backend worker processes "
-                            "(default: --jobs)")
     sweep.add_argument("--queue-dir", default=None, metavar="DIR",
-                       help="queue-backend root directory (default: a fresh "
-                            "temp dir; point several hosts at one shared "
-                            "dir to distribute)")
-    sweep.add_argument("--lease-timeout", type=float, default=30.0,
+                       help="work-queue root, empty or absent, kept for "
+                            "sweep-status (default: a temp dir removed "
+                            "after the sweep; point several hosts at one "
+                            "shared dir to distribute)")
+    sweep.add_argument("--lease-timeout",
+                       type=_ranged(float, 0, strict=True), default=30.0,
                        help="seconds of worker silence before its job is "
-                            "requeued (queue backend)")
+                            "requeued")
     sweep.add_argument("--store", choices=("json", "columnar"),
                        default="json",
                        help="columnar: also pack every summary into .npz "

@@ -25,7 +25,7 @@ class SweepStats:
     completed: int = 0      # fresh simulations that succeeded
     cached: int = 0         # served from the persistent cache
     failed: int = 0         # exhausted their retry budget
-    retries: int = 0        # extra attempts beyond the first
+    retries: int = 0        # failed attempts the queue counted
     events_fired: int = 0   # simulation events across fresh runs
     wall_clock_s: float = 0.0
 
@@ -88,11 +88,6 @@ class ProgressReporter:
             tag = "cached" if cached else f"{wall_s:.1f}s, {events_fired} events"
             print(f"  [{self.stats.done}/{self.stats.total}] {job_key} ({tag})",
                   file=self.stream)
-
-    def job_retry(self, job_key: str, attempt: int, error: str) -> None:
-        self.stats.retries += 1
-        if self.verbose:
-            print(f"  retry #{attempt} {job_key}: {error}", file=self.stream)
 
     def job_failed(self, job_key: str, attempts: int, error: str) -> None:
         self.stats.failed += 1

@@ -13,8 +13,8 @@ results.  Two backends share the protocol:
 * :class:`FileQueue` -- a directory-lease backend safe for many worker
   *processes* (and, on a shared filesystem, many hosts).  Claims are
   atomic ``O_CREAT | O_EXCL`` lease-file creation; heartbeats rewrite
-  the lease timestamp; any party may call :meth:`~WorkQueue.requeue_expired`
-  to reclaim jobs whose worker died mid-drive.
+  the lease timestamp; :meth:`~FileQueue.requeue_expired` reclaims jobs
+  whose worker went silent, or at once those of a worker seen to die.
 
 Determinism contract
 --------------------
@@ -30,7 +30,10 @@ Retry accounting
 ``attempts[job]`` counts *completed* failed attempts (crash-expired
 leases and worker-reported errors both count).  A job whose attempts
 exceed ``max_retries`` moves to the failed set instead of requeueing;
-the sweep still completes and reports it.
+the sweep still completes and reports it.  A failed attempt is recorded
+(and the job retired if its retries are spent) *before* its lease is
+released, so no peer can claim the job in between and run it once more
+than ``max_retries`` allows.
 """
 
 from __future__ import annotations
@@ -84,6 +87,7 @@ class WorkQueue:
         raise NotImplementedError
 
     def requeue_expired(self) -> int:
+        """Release stale leases, counting a failed attempt for each."""
         raise NotImplementedError
 
     def jobs_remaining(self) -> int:
@@ -92,6 +96,10 @@ class WorkQueue:
 
     def drain_results(self) -> List[Tuple[str, Dict[str, Any]]]:
         """New ``(job_name, summary_dict)`` results since the last drain."""
+        raise NotImplementedError
+
+    def failures(self) -> Dict[str, Dict[str, Any]]:
+        """``{job_name: {"error", "attempts", ...}}`` for retired jobs."""
         raise NotImplementedError
 
     def status(self) -> Dict[str, int]:
@@ -127,7 +135,6 @@ class MemoryQueue(WorkQueue):
         self._results: List[Tuple[str, Dict[str, Any]]] = []
         self._drained = 0
         self.failed: Dict[str, str] = {}
-        self.requeues = 0
 
     def enqueue(self, jobs: Sequence[JobSpec]) -> List[str]:
         names = []
@@ -166,19 +173,17 @@ class MemoryQueue(WorkQueue):
         self._expired.discard(claim.name)
 
     def fail(self, claim: Claim, error: str) -> None:
+        self._bump_attempts(claim.name, error)
         self._leases.pop(claim.name, None)
         self._expired.discard(claim.name)
-        self._bump_attempts(claim.name, error)
 
     def requeue_expired(self) -> int:
-        requeued = 0
-        for name in sorted(self._expired):
-            self._leases.pop(name, None)
+        names = sorted(self._expired)
+        for name in names:
             self._bump_attempts(name, "lease expired (worker died)")
-            requeued += 1
+            self._leases.pop(name, None)
         self._expired.clear()
-        self.requeues += requeued
-        return requeued
+        return len(names)
 
     def _bump_attempts(self, name: str, error: str) -> None:
         self._attempts[name] = self._attempts.get(name, 0) + 1
@@ -269,10 +274,9 @@ class FileQueue(WorkQueue):
 
     # --------------------------------------------------------- enqueue
     def enqueue(self, jobs: Sequence[JobSpec]) -> List[str]:
-        existing = len(list(self.jobs_dir.glob("*.json")))
         names = []
         for i, job in enumerate(jobs):
-            name = job_name(existing + i, job)
+            name = job_name(i, job)
             _atomic_write_json(self.jobs_dir / f"{name}.json",
                                {"job": job.canonical()})
             names.append(name)
@@ -325,11 +329,13 @@ class FileQueue(WorkQueue):
         (self.leases_dir / f"{claim.name}.json").unlink(missing_ok=True)
 
     def fail(self, claim: Claim, error: str) -> None:
-        (self.leases_dir / f"{claim.name}.json").unlink(missing_ok=True)
         self._bump_attempts(claim.name, error)
+        (self.leases_dir / f"{claim.name}.json").unlink(missing_ok=True)
 
     # ---------------------------------------------------------- expiry
-    def requeue_expired(self) -> int:
+    def requeue_expired(self, worker: Optional[str] = None) -> int:
+        """Release stale leases, and at once every lease ``worker`` holds
+        (the caller saw its process die)."""
         now = time.time()
         requeued = 0
         for lease_path in sorted(self.leases_dir.glob("*.json")):
@@ -338,15 +344,16 @@ class FileQueue(WorkQueue):
                     lease = json.load(fh)
             except (OSError, ValueError):
                 continue  # mid-write; next pass will see it
-            if now - float(lease.get("ts", 0.0)) <= self.lease_timeout_s:
+            if lease.get("worker") != worker and \
+                    now - float(lease.get("ts", 0.0)) <= self.lease_timeout_s:
                 continue
             name = lease_path.stem
-            lease_path.unlink(missing_ok=True)
             if (self.jobs_dir / f"{name}.json").exists():
                 # Worker died mid-drive: count the attempt, maybe retire.
                 self._bump_attempts(name, "lease expired (worker died)")
                 requeued += 1
             # else: worker completed, died before lease cleanup -- done.
+            lease_path.unlink(missing_ok=True)
         return requeued
 
     def _attempts_of(self, name: str) -> int:

@@ -1,29 +1,30 @@
-"""Process-pool sweep execution with fault tolerance.
+"""Sweep execution through a work queue, with caching and fault tolerance.
 
-:class:`SweepRunner` fans the jobs of a :class:`~repro.orchestration.spec.SweepSpec`
-out to worker processes.  Each worker runs one drive and ships back a
+:class:`SweepRunner` answers cache hits, enqueues the misses on a
+:class:`~repro.orchestration.queue.WorkQueue` and drains it: inline for
+``jobs=1``, or with ``jobs`` spawned pull workers
+(:func:`queue_worker_main`) on a ``FileQueue``.  Each job ships back a
 :class:`~repro.orchestration.summary.DriveSummary` -- never the live
-``Network`` -- so results pickle cheaply and identically regardless of
-worker count.
+``Network`` -- which is cached, stored and aggregated as it lands.
 
 Fault model
 -----------
-* An exception inside a job is caught *in the worker* and returned as a
-  failure record (crash isolation: one bad job cannot take down the
-  sweep).
-* A hard worker death (``os._exit``, OOM-kill, segfault) surfaces as
-  ``BrokenProcessPool``; the runner writes off the poisoned round,
-  rebuilds the pool, and resubmits the affected jobs.
+* An exception inside a job is caught where the job runs and fails that
+  attempt (crash isolation: one bad job cannot take down the sweep).
+* A hard worker death (``os._exit``, OOM-kill, segfault) wakes the
+  coordinator, which releases the dead worker's lease at once and spawns
+  a replacement; a worker that stops heartbeating loses its lease after
+  ``lease_timeout_s``.
 * Every job gets ``max_retries`` extra attempts; a job that exhausts
   them becomes a :class:`JobFailure` in the report -- the sweep still
   completes and returns every other result.
-* ``timeout_s`` arms a per-job wall-clock alarm inside the worker
+* ``timeout_s`` arms a per-job wall-clock alarm where the job runs
   (POSIX ``SIGALRM``; silently unavailable elsewhere), so a hung drive
   is a retryable failure, not a stuck sweep.
 
 Determinism: each job builds its own ``Network`` from its own seed, so
-results are bit-identical whether the sweep runs serially (``jobs=1``,
-in-process) or on any number of workers, in any completion order.
+results are bit-identical for any ``jobs`` value, pull order or
+crash/requeue schedule.
 
 Test hooks (used by the fault-tolerance tests only): setting
 ``REPRO_SWEEP_TEST_CRASH`` to ``exception`` or ``exit`` makes workers
@@ -35,23 +36,29 @@ first attempt (a marker file is dropped in that directory).
 
 from __future__ import annotations
 
+import multiprocessing as mp
 import os
+import shutil
 import signal
-import traceback
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
+import tempfile
 from dataclasses import dataclass, field
-from time import sleep
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from multiprocessing.connection import wait
+from time import monotonic, sleep
+from typing import Dict, Iterable, List, Optional, Union
 
 from .cache import ResultCache
 from .progress import ProgressReporter, SweepStats
-from .queue import DEFAULT_LEASE_TIMEOUT_S, Claim, FileQueue, WorkQueue
+from .queue import DEFAULT_LEASE_TIMEOUT_S, Claim, FileQueue, MemoryQueue, WorkQueue
 from .spec import JobSpec, SweepSpec
 from .summary import DriveSummary
 
 __all__ = ["JobFailure", "SweepResult", "SweepRunner", "run_sweep",
-           "run_queue_sweep", "queue_worker_main", "execute_job_inline"]
+           "queue_worker_main", "execute_job_inline"]
+
+#: The coordinator's longest sleep while workers run: it also wakes at
+#: once when a worker exits, so this bounds only how stale progress and
+#: streamed results can get.
+POLL_S = 0.05
 
 
 # ------------------------------------------------------------------ worker
@@ -78,7 +85,7 @@ def _apply_test_hooks(job: JobSpec) -> None:
         with open(marker, "w") as fh:
             fh.write(job.key())
     if crash_mode == "exit":
-        os._exit(13)  # hard death: parent sees BrokenProcessPool
+        os._exit(13)  # hard death: the coordinator reaps the worker
     raise RuntimeError(f"injected test crash for {job.key()}")
 
 
@@ -91,241 +98,13 @@ def execute_job_inline(job: JobSpec) -> DriveSummary:
     return summary
 
 
-def _execute_job(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Worker entry point: run one job, catching everything.
-
-    Returns ``{"ok": True, "summary": ...}`` or a failure dict with the
-    formatted traceback -- exceptions never propagate out of the worker,
-    so one bad job cannot poison the pool (only a hard process death can,
-    and the parent handles that separately).
-    """
-    job = JobSpec.from_dict(payload["job"])
-    timeout_s = payload.get("timeout_s")
-    alarm_armed = False
-    try:
-        if timeout_s and hasattr(signal, "SIGALRM"):
-            def _on_alarm(_sig, _frame):
-                raise TimeoutError(f"job exceeded {timeout_s}s wall clock")
-            signal.signal(signal.SIGALRM, _on_alarm)
-            signal.setitimer(signal.ITIMER_REAL, float(timeout_s))
-            alarm_armed = True
-        _apply_test_hooks(job)
-        summary = execute_job_inline(job)
-        return {"ok": True, "summary": summary.to_dict()}
-    except BaseException as exc:  # noqa: BLE001 - isolation is the point
-        if isinstance(exc, (KeyboardInterrupt, SystemExit)):
-            raise
-        return {
-            "ok": False,
-            "error": f"{type(exc).__name__}: {exc}",
-            "traceback": traceback.format_exc(),
-        }
-    finally:
-        if alarm_armed:
-            signal.setitimer(signal.ITIMER_REAL, 0.0)
-
-
-def _payload(job: JobSpec, timeout_s: Optional[float]) -> Dict[str, Any]:
-    return {"job": job.canonical(), "timeout_s": timeout_s}
-
-
-# ------------------------------------------------------------------ results
-@dataclass
-class JobFailure:
-    """One job that exhausted its retry budget."""
-
-    job: JobSpec
-    attempts: int
-    error: str
-    traceback: str = ""
-
-
-@dataclass
-class SweepResult:
-    """Everything a sweep produced, in the spec's expansion order."""
-
-    jobs: List[JobSpec]
-    #: Aligned with ``jobs``; None where the job ultimately failed.
-    summaries: List[Optional[DriveSummary]]
-    failures: List[JobFailure] = field(default_factory=list)
-    stats: SweepStats = field(default_factory=SweepStats)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def by_key(self) -> Dict[str, DriveSummary]:
-        return {
-            job.key(): summary
-            for job, summary in zip(self.jobs, self.summaries)
-            if summary is not None
-        }
-
-
-# ------------------------------------------------------------------ runner
-class SweepRunner:
-    """Executes a sweep over a process pool with caching and retries.
-
-    ``jobs=1`` runs in-process (no pool, no pickling); any higher count
-    fans out over a ``ProcessPoolExecutor``.  Results are identical
-    either way.
-    """
-
-    def __init__(
-        self,
-        jobs: int = 1,
-        cache: Optional[ResultCache] = None,
-        timeout_s: Optional[float] = None,
-        max_retries: int = 2,
-        reporter: Optional[ProgressReporter] = None,
-        store=None,
-        aggregator=None,
-    ):
-        if jobs < 1:
-            raise ValueError("jobs must be >= 1")
-        if max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        self.jobs = jobs
-        self.cache = cache
-        self.timeout_s = timeout_s
-        self.max_retries = max_retries
-        self.reporter = reporter or ProgressReporter(verbose=False)
-        #: Optional ColumnarStore / SweepAggregator fed as results land
-        #: (cached and fresh alike), so figures can stream mid-sweep.
-        self.store = store
-        self.aggregator = aggregator
-
-    def _publish(self, summary: DriveSummary) -> None:
-        if self.store is not None:
-            self.store.append(summary)
-        if self.aggregator is not None:
-            self.aggregator.add(summary)
-
-    # ---------------------------------------------------------------- run
-    def run(self, sweep: Union[SweepSpec, Iterable[JobSpec]]) -> SweepResult:
-        jobs = sweep.expand() if isinstance(sweep, SweepSpec) else list(sweep)
-        reporter = self.reporter
-        reporter.begin(len(jobs))
-
-        # Duplicate jobs (identical grid points) simulate once.
-        unique: List[JobSpec] = list(dict.fromkeys(jobs))
-        summaries: Dict[JobSpec, DriveSummary] = {}
-        failures: List[JobFailure] = []
-
-        pending: List[JobSpec] = []
-        for job in unique:
-            cached = self.cache.get(job) if self.cache is not None else None
-            if cached is not None:
-                summaries[job] = cached
-                self._publish(cached)
-                reporter.job_done(job.key(), 0, 0.0, cached=True)
-            else:
-                pending.append(job)
-
-        attempts: Dict[JobSpec, int] = {job: 0 for job in pending}
-        last_error: Dict[JobSpec, Tuple[str, str]] = {}
-        while pending:
-            round_results = self._run_round(pending)
-            retry: List[JobSpec] = []
-            for job, outcome in round_results:
-                attempts[job] += 1
-                if outcome.get("ok"):
-                    summary = DriveSummary.from_dict(outcome["summary"])
-                    summaries[job] = summary
-                    if self.cache is not None:
-                        self.cache.put(job, summary)
-                    self._publish(summary)
-                    reporter.job_done(
-                        job.key(), summary.events_fired,
-                        summary.wall_clock_s, cached=False,
-                    )
-                    continue
-                error = outcome.get("error", "unknown error")
-                last_error[job] = (error, outcome.get("traceback", ""))
-                if attempts[job] <= self.max_retries:
-                    reporter.job_retry(job.key(), attempts[job], error)
-                    retry.append(job)
-                else:
-                    reporter.job_failed(job.key(), attempts[job], error)
-                    failures.append(JobFailure(
-                        job=job, attempts=attempts[job],
-                        error=error, traceback=last_error[job][1],
-                    ))
-            pending = retry
-
-        stats = reporter.end()
-        return SweepResult(
-            jobs=jobs,
-            summaries=[summaries.get(job) for job in jobs],
-            failures=failures,
-            stats=stats,
-        )
-
-    # -------------------------------------------------------------- rounds
-    def _run_round(
-        self, batch: Sequence[JobSpec]
-    ) -> List[Tuple[JobSpec, Dict[str, Any]]]:
-        """One attempt per job in ``batch``; never raises for a job error."""
-        if self.jobs == 1:
-            return [(job, _execute_job(_payload(job, self.timeout_s)))
-                    for job in batch]
-        out: List[Tuple[JobSpec, Dict[str, Any]]] = []
-        workers = min(self.jobs, len(batch))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                pool.submit(_execute_job, _payload(job, self.timeout_s)): job
-                for job in batch
-            }
-            for future in as_completed(futures):
-                job = futures[future]
-                try:
-                    out.append((job, future.result()))
-                except BrokenProcessPool:
-                    # A worker died hard; every in-flight/queued future in
-                    # this pool is poisoned.  Record the attempt and let
-                    # the retry loop resubmit on a fresh pool.
-                    out.append((job, {
-                        "ok": False,
-                        "error": "worker process died (BrokenProcessPool)",
-                        "traceback": "",
-                    }))
-                except Exception as exc:  # pragma: no cover - defensive
-                    out.append((job, {
-                        "ok": False,
-                        "error": f"{type(exc).__name__}: {exc}",
-                        "traceback": traceback.format_exc(),
-                    }))
-        return out
-
-
-def run_sweep(
-    sweep: Union[SweepSpec, Iterable[JobSpec]],
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-    timeout_s: Optional[float] = None,
-    max_retries: int = 2,
-    verbose: bool = False,
-    store=None,
-    aggregator=None,
-) -> SweepResult:
-    """One-call sweep execution (the CLI and benchmarks go through this)."""
-    runner = SweepRunner(
-        jobs=jobs, cache=cache, timeout_s=timeout_s,
-        max_retries=max_retries,
-        reporter=ProgressReporter(verbose=verbose),
-        store=store, aggregator=aggregator,
-    )
-    return runner.run(sweep)
-
-
-# ------------------------------------------------------------ queue backend
 def _run_claim(queue: WorkQueue, claim: Claim,
                timeout_s: Optional[float]) -> None:
     """Execute one claimed job and release it (complete or fail).
 
     Shared by the worker process loop and the inline drain: test hooks
     and the SIGALRM wall-clock guard apply identically, so a timeout or
-    injected crash behaves the same on every backend.
+    injected crash behaves the same wherever the job runs.
     """
     alarm_armed = False
     try:
@@ -353,29 +132,25 @@ def queue_worker_main(
     lease_timeout_s: float = DEFAULT_LEASE_TIMEOUT_S,
     max_retries: int = 2,
     timeout_s: Optional[float] = None,
-    poll_s: float = 0.05,
 ) -> None:
-    """A pull worker: claim, heartbeat, run, push, repeat until drained.
+    """A pull worker: claim, heartbeat, run, push, until nothing is claimable.
 
     This is the entry point a worker *process* runs (the coordinator
-    spawns N of them; on a shared filesystem any number of hosts could
-    run it against the same root).  A heartbeat thread renews the lease
-    at a quarter of the expiry period while the drive runs; if this
-    process dies mid-job, the lease goes stale and any surviving party
-    requeues the job.
+    spawns ``jobs`` of them; on a shared filesystem any number of hosts
+    could run it against the same root).  A heartbeat thread renews the
+    lease at a quarter of the expiry period while the drive runs.  The
+    worker exits as soon as every remaining job is leased by someone
+    else; if a lease frees up later (its holder died), the coordinator
+    spawns a replacement.
     """
     import threading
 
     queue = FileQueue(root, lease_timeout_s=lease_timeout_s,
                       max_retries=max_retries)
-    while queue.jobs_remaining() > 0:
+    while True:
         claim = queue.claim(worker_id)
         if claim is None:
-            # Everything left is leased by someone else; reclaim any
-            # expired leases ourselves so a dead peer cannot stall us.
-            queue.requeue_expired()
-            sleep(poll_s)
-            continue
+            return
         stop = threading.Event()
 
         def _beat(claim=claim, stop=stop):
@@ -393,190 +168,271 @@ def queue_worker_main(
             stop.set()
 
 
-def run_queue_sweep(
-    sweep: Union[SweepSpec, Iterable[JobSpec]],
-    workers: int = 2,
-    queue: Optional[WorkQueue] = None,
-    queue_dir: Optional[str] = None,
-    cache: Optional[ResultCache] = None,
-    store=None,
-    aggregator=None,
-    lease_timeout_s: float = DEFAULT_LEASE_TIMEOUT_S,
-    max_retries: int = 2,
-    timeout_s: Optional[float] = None,
-    poll_s: float = 0.05,
-    verbose: bool = False,
-    reporter: Optional[ProgressReporter] = None,
-) -> SweepResult:
-    """Run a sweep through a :class:`~repro.orchestration.queue.WorkQueue`.
+# ------------------------------------------------------------------ results
+@dataclass
+class JobFailure:
+    """One job that exhausted its retry budget."""
 
-    The coordinator enqueues cache-missing jobs, spawns ``workers``
-    pull-worker processes, and streams results as they land: each
-    summary is cached, appended to ``store`` (columnar), and fed to
-    ``aggregator``, whose snapshot is republished after every drain so
-    figures can update mid-sweep.  Dead workers are respawned while jobs
-    remain; their in-flight jobs requeue via lease expiry.
+    job: JobSpec
+    attempts: int
+    error: str
 
-    ``workers=0`` drains the queue inline in this process (no spawning)
-    -- with a :class:`~repro.orchestration.queue.MemoryQueue` that is
-    the deterministic single-threaded reference the test battery
-    compares every other schedule against.
 
-    Determinism: summaries depend only on each job's spec (seeds are
-    derived from grid coordinates, never from scheduling), so the
-    returned :class:`SweepResult` is byte-identical to ``run_sweep``
-    over the same grid, no matter the worker count or pull order.
+@dataclass
+class SweepResult:
+    """Everything a sweep produced, in the spec's expansion order."""
+
+    jobs: List[JobSpec]
+    #: Aligned with ``jobs``; None where the job ultimately failed.
+    summaries: List[Optional[DriveSummary]]
+    failures: List[JobFailure] = field(default_factory=list)
+    stats: SweepStats = field(default_factory=SweepStats)
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
+
+    def by_key(self) -> Dict[str, DriveSummary]:
+        return {
+            job.key(): summary
+            for job, summary in zip(self.jobs, self.summaries)
+            if summary is not None
+        }
+
+
+# ------------------------------------------------------------------ runner
+class SweepRunner:
+    """Executes a sweep through a work queue with caching and retries.
+
+    ``jobs=1`` drains a :class:`MemoryQueue` in this process; a higher
+    count spawns that many pull workers on a :class:`FileQueue` in a
+    temporary directory, removed afterwards.  ``queue_dir`` (empty or
+    absent) keeps a :class:`FileQueue` there instead, for
+    ``sweep-status`` and workers on other hosts; ``queue`` injects one
+    (the determinism battery scripts a :class:`MemoryQueue`'s pull
+    order).  Results are identical either way.
     """
-    import multiprocessing as mp
 
-    jobs = sweep.expand() if isinstance(sweep, SweepSpec) else list(sweep)
-    reporter = reporter or ProgressReporter(verbose=verbose)
-    reporter.begin(len(jobs))
+    def __init__(
+        self,
+        jobs: int = 1,
+        cache: Optional[ResultCache] = None,
+        timeout_s: Optional[float] = None,
+        max_retries: int = 2,
+        reporter: Optional[ProgressReporter] = None,
+        store=None,
+        aggregator=None,
+        queue: Optional[WorkQueue] = None,
+        queue_dir: Optional[str] = None,
+        lease_timeout_s: float = DEFAULT_LEASE_TIMEOUT_S,
+    ):
+        if jobs < 1:
+            raise ValueError("jobs must be >= 1")
+        if max_retries < 0:
+            raise ValueError("max_retries must be >= 0")
+        if timeout_s is not None and not timeout_s > 0:
+            raise ValueError("timeout_s must be > 0 (None means no timeout)")
+        if not lease_timeout_s > 0:
+            raise ValueError("lease_timeout_s must be > 0")
+        if jobs > 1 and queue is not None and not isinstance(queue, FileQueue):
+            raise ValueError("spawned workers need a FileQueue; use jobs=1 "
+                             "to drain an in-process queue inline")
+        self.jobs = jobs
+        self.cache = cache
+        self.timeout_s = timeout_s
+        self.max_retries = max_retries
+        self.reporter = reporter or ProgressReporter(verbose=False)
+        #: Optional ColumnarStore / SweepAggregator fed as results land
+        #: (cached and fresh alike), so figures can stream mid-sweep.
+        self.store = store
+        self.aggregator = aggregator
+        self.queue = queue
+        self.queue_dir = queue_dir
+        self.lease_timeout_s = lease_timeout_s
 
-    if queue is None:
-        if queue_dir is None:
-            raise ValueError("provide a queue or a queue_dir")
-        queue = FileQueue(queue_dir, lease_timeout_s=lease_timeout_s,
-                          max_retries=max_retries)
+    def _publish(self, summary: DriveSummary) -> None:
+        if self.store is not None:
+            self.store.append(summary)
+        if self.aggregator is not None:
+            self.aggregator.add(summary)
 
-    def _publish(summary: DriveSummary) -> None:
-        if store is not None:
-            store.append(summary)
-        if aggregator is not None:
-            aggregator.add(summary)
+    # ---------------------------------------------------------------- run
+    def run(self, sweep: Union[SweepSpec, Iterable[JobSpec]]) -> SweepResult:
+        jobs = sweep.expand() if isinstance(sweep, SweepSpec) else list(sweep)
+        if self.queue_dir is not None and os.path.isdir(self.queue_dir) \
+                and os.listdir(self.queue_dir):
+            # Its old spool lines would answer this run's jobs.
+            raise ValueError(f"queue dir {self.queue_dir} is not empty; "
+                             "give a fresh or absent directory")
+        self.reporter.begin(len(jobs))
 
-    def _snapshot() -> None:
-        if aggregator is None:
-            return
-        root = getattr(store, "root", None) or getattr(queue, "root", None)
-        if root is not None:
-            aggregator.write_snapshot(os.path.join(str(root),
-                                                   "aggregate.json"))
+        # Duplicate jobs (identical grid points) simulate once, and cache
+        # hits never enter the queue.
+        self._summaries: Dict[JobSpec, DriveSummary] = {}
+        self._failures: List[JobFailure] = []
+        pending: List[JobSpec] = []
+        for job in dict.fromkeys(jobs):
+            cached = self.cache.get(job) if self.cache is not None else None
+            if cached is None:
+                pending.append(job)
+                continue
+            self._summaries[job] = cached
+            self._publish(cached)
+            self.reporter.job_done(job.key(), 0, 0.0, cached=True)
 
-    # Cache hits never enter the queue (same policy as the pool runner).
-    unique: List[JobSpec] = list(dict.fromkeys(jobs))
-    summaries: Dict[JobSpec, DriveSummary] = {}
-    failures: List[JobFailure] = []
-    pending: List[JobSpec] = []
-    for job in unique:
-        cached = cache.get(job) if cache is not None else None
-        if cached is not None:
-            summaries[job] = cached
-            _publish(cached)
-            reporter.job_done(job.key(), 0, 0.0, cached=True)
-        else:
-            pending.append(job)
+        queue, own_dir = self.queue, None
+        if queue is None and self.queue_dir is None and self.jobs > 1:
+            own_dir = tempfile.mkdtemp(prefix="repro-queue-")
+        try:
+            if queue is None:
+                root = self.queue_dir or own_dir
+                queue = (MemoryQueue(max_retries=self.max_retries)
+                         if root is None else
+                         FileQueue(root, lease_timeout_s=self.lease_timeout_s,
+                                   max_retries=self.max_retries))
+            self._by_name = dict(zip(queue.enqueue(pending), pending))
+            self._accounted: set = set()
+            if self.jobs == 1:
+                self._drain_inline(queue)
+            else:
+                self._drain_with_workers(queue)
+            self._collect(queue)
+            # Anything still unaccounted is a hard failure (crash-loop cap).
+            for name, job in self._by_name.items():
+                if name not in self._accounted:
+                    self._failures.append(JobFailure(
+                        job=job, attempts=queue.max_retries + 1,
+                        error="job never completed (worker crash loop)",
+                    ))
+            if self.store is not None:
+                self.store.flush()
+            self._snapshot(queue)
+            # Requeues happened in the queue, not through the reporter;
+            # fold its count in before the closing line prints.
+            self.reporter.stats.retries = int(queue.status()["requeued"])
+        finally:
+            if own_dir is not None:
+                shutil.rmtree(own_dir, ignore_errors=True)
+        stats = self.reporter.end()
+        return SweepResult(
+            jobs=jobs,
+            summaries=[self._summaries.get(job) for job in jobs],
+            failures=self._failures,
+            stats=stats,
+        )
 
-    names = queue.enqueue(pending)
-    by_name = dict(zip(names, pending))
-    accounted: set = set()
-
-    def _drain() -> None:
+    # ------------------------------------------------------------ results
+    def _collect(self, queue: WorkQueue) -> None:
+        """Fold newly landed results and terminal failures in, once each."""
+        landed = False
         for name, summary_dict in queue.drain_results():
-            job = by_name.get(name)
-            if job is None or name in accounted:
+            job = self._by_name.get(name)
+            if job is None or name in self._accounted:
                 continue
-            accounted.add(name)
+            self._accounted.add(name)
+            landed = True
             summary = DriveSummary.from_dict(summary_dict)
-            summaries[job] = summary
-            if cache is not None:
-                cache.put(job, summary)
-            _publish(summary)
-            reporter.job_done(job.key(), summary.events_fired,
-                              summary.wall_clock_s, cached=False)
-        failed = queue.failures() if hasattr(queue, "failures") else {}
-        for name, payload in failed.items():
-            if name not in by_name or name in accounted:
+            self._summaries[job] = summary
+            if self.cache is not None:
+                self.cache.put(job, summary)
+            self._publish(summary)
+            self.reporter.job_done(job.key(), summary.events_fired,
+                                   summary.wall_clock_s, cached=False)
+        for name, payload in queue.failures().items():
+            if name not in self._by_name or name in self._accounted:
                 continue
-            accounted.add(name)
-            reporter.job_failed(by_name[name].key(),
-                                payload.get("attempts", max_retries + 1),
-                                payload.get("error", "unknown error"))
-            failures.append(JobFailure(
-                job=by_name[name],
-                attempts=payload.get("attempts", max_retries + 1),
-                error=payload.get("error", "unknown error"),
+            self._accounted.add(name)
+            job = self._by_name[name]
+            self.reporter.job_failed(job.key(), payload["attempts"],
+                                     payload["error"])
+            self._failures.append(JobFailure(
+                job=job, attempts=payload["attempts"], error=payload["error"],
             ))
+        if landed:
+            self._snapshot(queue)
 
-    if workers == 0:
-        # Inline drain: this process is the (only) worker.
-        while queue.jobs_remaining() > 0:
-            claim = queue.claim("inline-0")
-            if claim is None:
-                if queue.requeue_expired() == 0:
-                    break  # leases held by nobody we can wait for
-                continue
-            _run_claim(queue, claim, timeout_s)
-            _drain()
-            _snapshot()
-    else:
-        if not isinstance(queue, FileQueue):
-            raise ValueError(
-                "spawned workers need a FileQueue; use workers=0 to "
-                "drain an in-process queue inline"
-            )
+    def _snapshot(self, queue: WorkQueue) -> None:
+        """Republish the aggregator's per-cell stats next to the results."""
+        if self.aggregator is None:
+            return
+        root = getattr(self.store, "root", None) or getattr(queue, "root", None)
+        if root is not None:
+            self.aggregator.write_snapshot(os.path.join(str(root),
+                                                        "aggregate.json"))
+
+    # ------------------------------------------------------------- drains
+    def _drain_inline(self, queue: WorkQueue) -> None:
+        """This process is the only worker: run jobs until none is left."""
+        while (claim := queue.claim("inline-0")) is not None:
+            _run_claim(queue, claim, self.timeout_s)
+            self._collect(queue)
+
+    def _drain_with_workers(self, queue: FileQueue) -> None:
+        """Run up to ``jobs`` pull workers until every job is accounted.
+
+        A worker exits once nothing is left to claim, so a replacement
+        starts only for work freed later: by a worker that died (its
+        lease is released at once) or by a stale lease.  The loop sleeps
+        on the workers' process sentinels, so a worker's exit -- a crash
+        or the end of the sweep -- wakes it at once.
+        """
         ctx = mp.get_context()
-        procs: Dict[int, Any] = {}
+        procs: Dict[str, mp.Process] = {}
         spawned = 0
         # Enough headroom to survive every allowed crash-retry, bounded
         # so a pathological crash loop cannot fork forever.
-        spawn_budget = workers + (max_retries + 1) * max(len(pending), 1)
-
-        def _spawn_one() -> None:
-            nonlocal spawned
-            proc = ctx.Process(
-                target=queue_worker_main,
-                args=(str(queue.root), f"worker-{spawned}",
-                      lease_timeout_s, max_retries, timeout_s, poll_s),
-                daemon=True,
-            )
-            proc.start()
-            procs[spawned] = proc
-            spawned += 1
-
+        spawn_budget = self.jobs + (queue.max_retries + 1) * len(self._by_name)
+        owed = min(self.jobs, len(self._by_name))
+        expiry_due = 0.0
         try:
-            while len(accounted) < len(pending):
-                queue.requeue_expired()
-                _drain()
-                _snapshot()
-                for wid, proc in list(procs.items()):
+            while len(self._accounted) < len(self._by_name):
+                while owed > 0 and len(procs) < self.jobs \
+                        and spawned < spawn_budget:
+                    worker_id = f"worker-{spawned}"
+                    procs[worker_id] = ctx.Process(
+                        target=queue_worker_main,
+                        args=(str(queue.root), worker_id,
+                              queue.lease_timeout_s, queue.max_retries,
+                              self.timeout_s),
+                        daemon=True,
+                    )
+                    procs[worker_id].start()
+                    spawned += 1
+                    owed -= 1
+                if not procs and spawned >= spawn_budget:
+                    break  # crash loop: report what we have
+                # With no worker alive this only sleeps, while peers on
+                # other hosts finish or their leases go stale.
+                wait([proc.sentinel for proc in procs.values()], POLL_S)
+                owed = 0
+                for worker_id, proc in list(procs.items()):
                     if not proc.is_alive():
                         proc.join()
-                        del procs[wid]
-                # Keep the worker pool topped up while claimable work
-                # remains (a crashed worker's lease frees after expiry).
-                want = min(workers, queue.jobs_remaining())
-                while len(procs) < want and spawned < spawn_budget:
-                    _spawn_one()
-                if not procs and queue.jobs_remaining() > 0 \
-                        and spawned >= spawn_budget:
-                    break  # crash loop: report what we have
-                sleep(poll_s)
+                        del procs[worker_id]
+                        if proc.exitcode:
+                            # It died: free its lease now, not on expiry.
+                            queue.requeue_expired(worker=worker_id)
+                            owed += 1
+                if monotonic() >= expiry_due:
+                    # A lease goes stale no sooner than heartbeats lapse.
+                    owed += queue.requeue_expired()
+                    expiry_due = monotonic() + queue.lease_timeout_s / 4.0
+                self._collect(queue)
+        except BaseException:
+            for proc in procs.values():
+                proc.terminate()  # the sweep is abandoned; stop its work
+            raise
         finally:
             for proc in procs.values():
-                proc.join(timeout=max(lease_timeout_s, 5.0))
+                proc.join(timeout=max(queue.lease_timeout_s, 5.0))
                 if proc.is_alive():  # pragma: no cover - stuck worker
                     proc.terminate()
-    _drain()
 
-    # Anything still unaccounted is a hard failure (crash-loop cap hit).
-    for name, job in by_name.items():
-        if name not in accounted and job not in summaries:
-            failures.append(JobFailure(
-                job=job, attempts=max_retries + 1,
-                error="job never completed (worker crash loop)",
-            ))
 
-    if store is not None:
-        store.flush()
-    _snapshot()
-    # Requeues happened in workers/the queue, not through this reporter;
-    # fold the queue's own count in before the closing line prints.
-    reporter.stats.retries = int(queue.status().get("requeued", 0))
-    stats = reporter.end()
-    return SweepResult(
-        jobs=jobs,
-        summaries=[summaries.get(job) for job in jobs],
-        failures=failures,
-        stats=stats,
-    )
+def run_sweep(sweep: Union[SweepSpec, Iterable[JobSpec]],
+              verbose: bool = False, **runner_kwargs) -> SweepResult:
+    """One-call sweep execution (the CLI and benchmarks go through this);
+    ``runner_kwargs`` are :class:`SweepRunner`'s."""
+    runner = SweepRunner(reporter=ProgressReporter(verbose=verbose),
+                         **runner_kwargs)
+    return runner.run(sweep)

@@ -64,7 +64,7 @@ def test_sweep_defaults():
     assert args.jobs == 1
     assert args.retries == 2
     assert not args.no_cache
-    assert args.backend == "pool"
+    assert args.queue_dir is None
     assert args.store == "json"
     assert args.fault_campaign is None
 
@@ -72,7 +72,7 @@ def test_sweep_defaults():
 def test_sweep_queue_backend_with_columnar_store(capsys, tmp_path):
     queue_dir = str(tmp_path / "queue")
     store_dir = str(tmp_path / "store")
-    extra = ["--backend", "queue", "--workers", "2",
+    extra = ["--jobs", "2",
              "--queue-dir", queue_dir, "--store", "columnar",
              "--store-dir", store_dir, "--cache-dir", str(tmp_path / "c")]
     assert main(SWEEP_SMALL + extra) == 0
@@ -88,10 +88,35 @@ def test_sweep_queue_backend_with_columnar_store(capsys, tmp_path):
     assert "done" in status
     assert "store_version" in status or "summaries" in status
 
-    # And the numbers match a plain pool run of the same grid.
+    # And the numbers match a plain in-process run of the same grid.
     assert main(SWEEP_SMALL + ["--no-cache"]) == 0
-    pool_out = capsys.readouterr().out
-    assert out.splitlines()[1] == pool_out.splitlines()[1]
+    serial_out = capsys.readouterr().out
+    assert out.splitlines()[1] == serial_out.splitlines()[1]
+
+
+def test_sweep_refuses_a_reused_queue_dir(capsys, tmp_path):
+    queue = ["--no-cache", "--jobs", "2", "--queue-dir", str(tmp_path / "q")]
+    assert main(SWEEP_SMALL + queue) == 0
+    assert "2 run, 0 cached" in capsys.readouterr().out
+    # A second sweep must not replay the first one's spooled results.
+    assert main(SWEEP_SMALL + queue) == 2
+    captured = capsys.readouterr()
+    assert "not empty" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+    # The first sweep's queue is left intact for sweep-status.
+    assert main(["sweep-status", "--queue-dir", str(tmp_path / "q")]) == 0
+    assert "2/2 done" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("bad", [
+    ["--jobs", "0"], ["--jobs", "-1"], ["--retries", "-1"],
+    ["--timeout", "0"], ["--lease-timeout", "0"],
+])
+def test_sweep_rejects_out_of_range_arguments(bad, capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(SWEEP_SMALL + bad)
+    assert exc.value.code == 2
+    assert "must be" in capsys.readouterr().err
 
 
 def test_sweep_fault_campaign_flag(capsys, tmp_path):

@@ -131,6 +131,45 @@ class TestFileQueue:
         again = q.claim("w2")
         assert again.name == claim.name and again.attempt == 2
 
+    def test_dead_workers_lease_is_released_at_once(self, tmp_path):
+        # The coordinator reaped w1: its fresh lease frees without
+        # waiting out the timeout, and w2's lease is untouched.
+        q = FileQueue(tmp_path, lease_timeout_s=60.0)
+        q.enqueue(jobs(2))
+        claim = q.claim("w1")
+        other = q.claim("w2")
+        assert q.requeue_expired() == 0
+        assert q.requeue_expired(worker="w1") == 1
+        assert (q.leases_dir / f"{other.name}.json").exists()
+        again = q.claim("w3")
+        assert again.name == claim.name and again.attempt == 2
+
+    @pytest.mark.parametrize("release", ["fail", "expire"])
+    def test_attempt_is_recorded_before_the_lease_frees(self, tmp_path,
+                                                        release):
+        # A peer that claims while the attempt is being recorded must find
+        # the job still leased; otherwise a job whose retries are spent
+        # runs once more than max_retries allows.
+        peer_claims = []
+
+        class PeerClaimsMidRelease(FileQueue):
+            def _bump_attempts(self, name, error):
+                peer_claims.append(FileQueue(self.root).claim("peer"))
+                super()._bump_attempts(name, error)
+
+        q = PeerClaimsMidRelease(tmp_path, lease_timeout_s=0.0,
+                                 max_retries=0)
+        q.enqueue(jobs(1))
+        claim = q.claim("w1")
+        if release == "fail":
+            q.fail(claim, "boom")
+        else:
+            time.sleep(0.01)  # the lease goes stale
+            assert q.requeue_expired() == 1
+        assert peer_claims == [None]
+        assert FileQueue(tmp_path).claim("peer") is None  # retired
+        assert [r["attempts"] for r in q.failures().values()] == [1]
+
     def test_heartbeat_renews_the_lease_timestamp(self, tmp_path):
         q = FileQueue(tmp_path, lease_timeout_s=60.0)
         q.enqueue(jobs(1))
@@ -218,12 +257,6 @@ class TestFileQueue:
         assert status["done"] == 1
         assert status["requeued"] == 1  # the failed attempt counts
         assert status["queued"] == 2 and status["leased"] == 0
-
-    def test_rejects_double_enqueue_names_distinct(self, tmp_path):
-        q = FileQueue(tmp_path)
-        first = q.enqueue(jobs(2))
-        second = q.enqueue(jobs(2)[:1])
-        assert len(set(first) | set(second)) == 3
 
     def test_protocol_base_raises(self):
         from repro.orchestration import WorkQueue

@@ -1,4 +1,4 @@
-"""Integration tests for the process-pool sweep runner.
+"""Integration tests for the sweep runner.
 
 Drives use a 3-AP road at 35 mph with a light UDP load so each job is a
 fraction of a second; the properties under test (determinism across
@@ -7,7 +7,10 @@ depend on scale.
 """
 
 import json
+import multiprocessing
 import random
+import tempfile
+import time
 
 import pytest
 
@@ -17,11 +20,12 @@ from repro.orchestration import (
     MemoryQueue,
     ProgressReporter,
     ResultCache,
+    SweepAggregator,
     SweepRunner,
     SweepSpec,
-    run_queue_sweep,
     run_sweep,
 )
+from repro.orchestration.queue import DEFAULT_LEASE_TIMEOUT_S
 
 SMALL = dict(
     modes=("baseline",), speeds_mph=(35.0,), traffics=("udp",),
@@ -83,12 +87,15 @@ def test_worker_exception_is_retried_and_succeeds(tmp_path, monkeypatch):
 
 
 def test_hard_worker_death_does_not_abort_the_sweep(tmp_path, monkeypatch):
-    # os._exit in the worker breaks the whole pool; the runner must
-    # rebuild it and finish every job.
+    # os._exit kills a worker mid-job; the coordinator must release its
+    # lease at once -- not after the default lease timeout -- and finish
+    # every job on a replacement worker.
     monkeypatch.setenv("REPRO_SWEEP_TEST_CRASH", "exit")
     monkeypatch.setenv("REPRO_SWEEP_TEST_MATCH", "s1")
     monkeypatch.setenv("REPRO_SWEEP_TEST_CRASH_ONCE_DIR", str(tmp_path))
+    t0 = time.monotonic()
     result = run_sweep(small_spec(), jobs=2, max_retries=2)
+    assert time.monotonic() - t0 < DEFAULT_LEASE_TIMEOUT_S / 3
     assert result.ok
     assert result.stats.retries >= 1
     assert all(s is not None for s in result.summaries)
@@ -121,10 +128,51 @@ def test_per_job_timeout_is_a_retryable_failure(monkeypatch):
 
 
 def test_runner_validates_arguments():
-    with pytest.raises(ValueError):
-        SweepRunner(jobs=0)
-    with pytest.raises(ValueError):
-        SweepRunner(max_retries=-1)
+    for kwargs in ({"jobs": 0}, {"jobs": -1}, {"max_retries": -1},
+                   {"timeout_s": 0}, {"timeout_s": -1.0},
+                   {"lease_timeout_s": 0}):
+        with pytest.raises(ValueError):
+            SweepRunner(**kwargs)
+
+
+def test_reused_queue_dir_is_refused(tmp_path):
+    # Its old spool lines would otherwise answer the new run's jobs.
+    (tmp_path / "results").mkdir()
+    (tmp_path / "results" / "worker-0.jsonl").write_text("")
+    with pytest.raises(ValueError, match="not empty"):
+        run_sweep(small_spec(seeds=(1,)), jobs=2, queue_dir=str(tmp_path))
+
+
+@pytest.mark.parametrize("consumer_fails", [False, True])
+def test_runner_removes_the_queue_dir_it_creates(
+        tmp_path, monkeypatch, consumer_fails):
+    # Workers without a queue_dir share a temp-dir FileQueue, which must
+    # not outlive the sweep -- even one that raises while a worker is
+    # still busy (seed 2 stalls), whose worker is then stopped at once.
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    if consumer_fails:
+        monkeypatch.setenv("REPRO_SWEEP_TEST_SLEEP_S", "60")
+        monkeypatch.setenv("REPRO_SWEEP_TEST_MATCH", "s2")
+    seen_during = []
+
+    class Probe(SweepAggregator):
+        def add(self, summary):
+            seen_during.extend(p.name for p in tmp_path.iterdir())
+            if consumer_fails:
+                raise RuntimeError("consumer failed")
+            super().add(summary)
+
+    t0 = time.monotonic()
+    if consumer_fails:
+        with pytest.raises(RuntimeError, match="consumer failed"):
+            run_sweep(small_spec(), jobs=2, aggregator=Probe())
+    else:
+        assert run_sweep(small_spec(), jobs=2, aggregator=Probe()).ok
+    assert time.monotonic() - t0 < DEFAULT_LEASE_TIMEOUT_S / 2
+    assert not multiprocessing.active_children()
+    assert seen_during
+    assert all(name.startswith("repro-queue-") for name in seen_during)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_progress_reporter_counts_and_narrates(tmp_path, capsys):
@@ -195,22 +243,23 @@ def serial_reference():
 @pytest.mark.parametrize("order_seed", [0, 1, 2])
 def test_shuffled_pull_orders_are_byte_identical(serial_reference, order_seed):
     queue = MemoryQueue(pull_order=random.Random(order_seed).shuffle)
-    result = run_queue_sweep(small_spec(), workers=0, queue=queue)
+    result = run_sweep(small_spec(), queue=queue)
     assert result.ok
     assert sweep_bytes(result) == serial_reference
 
 
 def test_reverse_pull_order_is_byte_identical(serial_reference):
     queue = MemoryQueue(pull_order=lambda names: names.reverse())
-    result = run_queue_sweep(small_spec(), workers=0, queue=queue)
+    result = run_sweep(small_spec(), queue=queue)
     assert sweep_bytes(result) == serial_reference
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("jobs", [1, 2, 3])
 def test_file_queue_worker_counts_are_byte_identical(
-        serial_reference, workers, tmp_path):
-    result = run_queue_sweep(small_spec(), workers=workers,
-                             queue_dir=str(tmp_path / "q"))
+        serial_reference, jobs, tmp_path):
+    # jobs=1 drains the FileQueue inline; 2 and 3 spawn pull workers.
+    result = run_sweep(small_spec(), jobs=jobs,
+                       queue_dir=str(tmp_path / "q"))
     assert result.ok
     assert sweep_bytes(result) == serial_reference
 
@@ -224,8 +273,7 @@ def test_inline_crash_and_requeue_is_byte_identical(
     monkeypatch.setenv("REPRO_SWEEP_TEST_MATCH", "baseline")
     monkeypatch.setenv("REPRO_SWEEP_TEST_CRASH_ONCE_DIR", str(tmp_path))
     queue = MemoryQueue(pull_order=random.Random(7).shuffle)
-    result = run_queue_sweep(small_spec(), workers=0, queue=queue,
-                             max_retries=2)
+    result = run_sweep(small_spec(), queue=queue, max_retries=2)
     assert result.ok
     assert result.stats.retries >= 2  # both jobs crashed once
     assert sweep_bytes(result) == serial_reference
@@ -233,15 +281,14 @@ def test_inline_crash_and_requeue_is_byte_identical(
 
 def test_worker_process_crash_requeues_and_stays_identical(
         serial_reference, tmp_path, monkeypatch):
-    # A real worker process dies via os._exit mid-sweep; the lease
-    # expires, another worker reruns the job, bytes still match.
+    # A real worker process dies via os._exit mid-sweep; its lease is
+    # released, another worker reruns the job, bytes still match.
     monkeypatch.setenv("REPRO_SWEEP_TEST_CRASH", "exit")
     monkeypatch.setenv("REPRO_SWEEP_TEST_MATCH", "s1")
     monkeypatch.setenv("REPRO_SWEEP_TEST_CRASH_ONCE_DIR", str(tmp_path / "m"))
     (tmp_path / "m").mkdir()
-    result = run_queue_sweep(small_spec(), workers=2,
-                             queue_dir=str(tmp_path / "q"),
-                             lease_timeout_s=0.5, max_retries=2)
+    result = run_sweep(small_spec(), jobs=2, queue_dir=str(tmp_path / "q"),
+                       max_retries=2)
     assert result.ok
     assert result.stats.retries >= 1  # the crashed job was requeued
     assert sweep_bytes(result) == serial_reference
@@ -251,16 +298,15 @@ def test_queue_and_serial_runs_share_cache_entries(tmp_path):
     serial_cache = ResultCache(root=tmp_path / "serial")
     queue_cache = ResultCache(root=tmp_path / "queue")
     serial = run_sweep(small_spec(), jobs=1, cache=serial_cache)
-    queued = run_queue_sweep(small_spec(), workers=0,
-                             queue=MemoryQueue(
-                                 pull_order=lambda n: n.reverse()),
-                             cache=queue_cache)
+    queued = run_sweep(small_spec(),
+                       queue=MemoryQueue(pull_order=lambda n: n.reverse()),
+                       cache=queue_cache)
     assert serial.ok and queued.ok
     # Same keys (paths) AND same stored summaries, byte for byte.
     assert cache_identity(serial_cache) == cache_identity(queue_cache)
     # A queue run after a serial run is a pure cache replay.
-    replay = run_queue_sweep(small_spec(), workers=0, queue=MemoryQueue(),
-                             cache=ResultCache(root=tmp_path / "serial"))
+    replay = run_sweep(small_spec(), queue=MemoryQueue(),
+                       cache=ResultCache(root=tmp_path / "serial"))
     assert replay.stats.cached == 2 and replay.stats.completed == 0
     assert sweep_bytes(replay) == sweep_bytes(serial)
 
@@ -269,8 +315,8 @@ def test_queue_sweep_reports_terminal_failures(monkeypatch):
     # No CRASH_ONCE_DIR: seed 1 fails every attempt, seed 2 completes.
     monkeypatch.setenv("REPRO_SWEEP_TEST_CRASH", "exception")
     monkeypatch.setenv("REPRO_SWEEP_TEST_MATCH", "s1")
-    result = run_queue_sweep(small_spec(), workers=0,
-                             queue=MemoryQueue(max_retries=1), max_retries=1)
+    result = run_sweep(small_spec(), queue=MemoryQueue(max_retries=1),
+                       max_retries=1)
     assert not result.ok
     assert len(result.failures) == 1
     by_seed = {j.seed: s for j, s in zip(result.jobs, result.summaries)}
@@ -279,16 +325,16 @@ def test_queue_sweep_reports_terminal_failures(monkeypatch):
 
 def test_spawned_workers_require_a_file_queue():
     with pytest.raises(ValueError, match="FileQueue"):
-        run_queue_sweep(small_spec(), workers=2, queue=MemoryQueue())
+        run_sweep(small_spec(), jobs=2, queue=MemoryQueue())
 
 
 def test_queue_sweep_streams_into_store_and_aggregator(tmp_path):
-    from repro.orchestration import ColumnarStore, SweepAggregator
+    from repro.orchestration import ColumnarStore
 
     store = ColumnarStore(tmp_path / "store", shard_size=1)
     agg = SweepAggregator()
-    result = run_queue_sweep(small_spec(), workers=0, queue=MemoryQueue(),
-                             store=store, aggregator=agg)
+    result = run_sweep(small_spec(), queue=MemoryQueue(),
+                       store=store, aggregator=agg)
     assert result.ok
     # Store holds both summaries (keyed, order may differ from the spec).
     stored = {s.job_key: s.deterministic_dict() for s in store.summaries()}
@@ -330,7 +376,7 @@ def test_fault_campaign_sweep_is_deterministic_and_cache_stable(tmp_path):
 
 def test_fault_campaign_queue_run_matches_serial(tmp_path):
     serial = run_sweep(SweepSpec(**FAULTY), jobs=1)
-    queued = run_queue_sweep(SweepSpec(**FAULTY), workers=2,
-                             queue_dir=str(tmp_path / "q"))
+    queued = run_sweep(SweepSpec(**FAULTY), jobs=2,
+                       queue_dir=str(tmp_path / "q"))
     assert serial.ok and queued.ok
     assert sweep_bytes(queued) == sweep_bytes(serial)
